@@ -52,26 +52,24 @@ type node struct {
 // node; Grow is kept as the independent oracle the equivalence property
 // tests and training benchmarks compare against.
 //
-// Determinism/tie-break contract (shared with the pre-sorted and
-// histogram-binned trainers): within a feature column rows are ordered
-// by (value, row index) — a stable, input-order-independent total order —
-// candidate splits are evaluated only between distinct adjacent values,
-// and a candidate replaces the incumbent only when its gain clears the
-// incumbent's by the gainBeats margin, so the first best-gain candidate
-// in (column order, value order) wins both exact ties and ties within
+// Determinism/tie-break contract (shared with the pre-sorted trainer):
+// within a feature column rows are ordered by (value, row index) — a
+// stable, input-order-independent total order — candidate splits are
+// evaluated only between distinct adjacent values, and a candidate
+// replaces the incumbent only when its gain clears the incumbent's by
+// the gainBeats margin, so the first best-gain candidate in (column
+// order, value order) wins both exact ties and ties within
 // accumulation-order noise.
 // gainTieEps is the relative margin a split candidate must clear the
-// incumbent best gain by. Different training kernels fold the same
-// per-node gradient sums in different (deterministic) associations —
-// row-by-row here, per-bin subtotals and histogram subtraction in the
-// binned kernel — which perturbs computed gains by a few ulps. Exact-
-// arithmetic gain ties are common (two columns inducing the same or
-// mirrored row partition score identically), and resolving them by raw
-// float comparison would let that noise pick different winners per
-// kernel. The margin is orders of magnitude above the noise (~n·2⁻⁵³
-// relative, so ≲1e-12 for any node this repo trains on) yet far below
-// any gain difference that reflects the data, so every kernel resolves
-// ties identically: first candidate in (column order, value order) wins.
+// incumbent best gain by. Exact-arithmetic gain ties are common (two
+// columns inducing the same or mirrored row partition score
+// identically), and a raw float comparison would let a few ulps of
+// accumulation-order noise pick the winner, tying results to the exact
+// association of every gradient sum. The margin is orders of magnitude
+// above that noise (~n·2⁻⁵³ relative, so ≲1e-12 for any node this repo
+// trains on) yet far below any gain difference that reflects the data,
+// so ties resolve by position: first candidate in (column order, value
+// order) wins.
 const gainTieEps = 1e-9
 
 // gainBeats reports whether a candidate gain improves on the incumbent

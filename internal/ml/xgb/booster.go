@@ -1,10 +1,10 @@
 // Booster: the incremental-refit form of FitOn. A tuning loop refits its
 // surrogate every iteration on a sample set that only grows by one
-// measured batch, so the per-fit setup — pre-sorting or quantizing the
-// feature matrix, allocating round buffers — is almost entirely repeated
-// work. A Booster retains the training matrix, the kernel state (which
-// extends itself via the tree Append paths instead of rebuilding), and
-// every round-loop buffer across fits. Each Fit still draws a fresh
+// measured batch, so the per-fit setup — pre-sorting the feature matrix,
+// allocating round buffers — is almost entirely repeated work. A Booster
+// retains the training matrix, the pre-sorted context (which extends
+// itself via tree.Context.Append instead of rebuilding), and every
+// round-loop buffer across fits. Each Fit still draws a fresh
 // sampling stream from p.Seed and runs the exact FitOn round loop, so the
 // returned model is bitwise identical to FitOn over the same rows.
 package xgb
@@ -28,9 +28,8 @@ type Booster struct {
 	X [][]float64
 	y []float64
 
-	ctx    *tree.Context      // pre-sorted kernel state, grown by Append
-	bm     *tree.BinnedMatrix // histogram kernel state, grown by Append
-	grower treeGrower
+	ctx    *tree.Context // pre-sorted kernel state, grown by Append
+	grower *tree.Grower
 
 	pred, g, h, leaf []float64
 	rowBuf, colBuf   []int
@@ -42,9 +41,6 @@ type Booster struct {
 func NewBooster(e *score.Engine, p Params) (*Booster, error) {
 	if p.Rounds <= 0 || p.LearningRate <= 0 {
 		return nil, fmt.Errorf("xgb: rounds and learning rate must be positive")
-	}
-	if p.Binned && (p.MaxBins < 0 || p.MaxBins == 1 || p.MaxBins > tree.MaxBins) {
-		return nil, fmt.Errorf("xgb: MaxBins must be 0 or in [2, %d], got %d", tree.MaxBins, p.MaxBins)
 	}
 	return &Booster{p: p, e: e}, nil
 }
@@ -71,27 +67,17 @@ func (b *Booster) Append(X [][]float64, y []float64) error {
 func (b *Booster) Reset() {
 	b.X = b.X[:0]
 	b.y = b.y[:0]
-	b.ctx, b.bm, b.grower = nil, nil, nil
+	b.ctx, b.grower = nil, nil
 }
 
-// sync brings the training kernel up to the current row set: built from
-// scratch on the first fit, extended incrementally (merge-append /
-// lossless cut-point reuse) on later ones.
+// sync brings the pre-sorted context up to the current row set: built
+// from scratch on the first fit, merge-appended on later ones.
 func (b *Booster) sync() {
-	if !b.p.Binned {
-		if b.ctx == nil {
-			b.ctx = tree.NewContext(b.e, b.X)
-			b.grower = b.ctx.Grower(b.e)
-		} else {
-			b.ctx.Append(b.e, b.X)
-		}
-		return
-	}
-	if b.bm == nil {
-		b.bm = tree.NewBinnedMatrix(b.e, b.X, b.p.MaxBins)
-		b.grower = b.bm.Grower(b.e)
+	if b.ctx == nil {
+		b.ctx = tree.NewContext(b.e, b.X)
+		b.grower = b.ctx.Grower(b.e)
 	} else {
-		b.bm.Append(b.e, b.X)
+		b.ctx.Append(b.e, b.X)
 	}
 }
 

@@ -1,7 +1,6 @@
 package xgb
 
 import (
-	"math/rand/v2"
 	"testing"
 
 	"ceal/internal/score"
@@ -10,8 +9,8 @@ import (
 // TestBoosterIncrementalMatchesScratch is the incremental-refit oracle:
 // appending rows batch by batch and refitting must produce, after every
 // batch, the same model bitwise as a from-scratch FitOn over the prefix —
-// for both kernels, with and without row/column sampling. This is the
-// property the surrogate's per-iteration refit relies on.
+// with and without row/column sampling. This is the property the
+// surrogate's per-iteration refit relies on.
 func TestBoosterIncrementalMatchesScratch(t *testing.T) {
 	cases := []struct {
 		name string
@@ -19,8 +18,6 @@ func TestBoosterIncrementalMatchesScratch(t *testing.T) {
 	}{
 		{"presort full", Params{Rounds: 20, LearningRate: 0.1, MaxDepth: 4, Lambda: 1, MinChildWeight: 1, Subsample: 1, ColSample: 1, Seed: 7}},
 		{"presort sampled", Params{Rounds: 20, LearningRate: 0.2, MaxDepth: 4, Lambda: 1, MinChildWeight: 1, Subsample: 0.7, ColSample: 0.6, Seed: 11}},
-		{"binned full", Params{Rounds: 20, LearningRate: 0.1, MaxDepth: 4, Lambda: 1, MinChildWeight: 1, Subsample: 1, ColSample: 1, Seed: 7, Binned: true}},
-		{"binned sampled", Params{Rounds: 20, LearningRate: 0.2, MaxDepth: 4, Lambda: 1, MinChildWeight: 1, Subsample: 0.7, ColSample: 0.6, Seed: 13, Binned: true}},
 	}
 	const dim = 5
 	X, y := trainingData(21, 90, dim)
@@ -52,64 +49,6 @@ func TestBoosterIncrementalMatchesScratch(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestBoosterBinnedCutInvalidation drives the histogram kernel's append
-// path through both regimes: batches drawn from the starting alphabet
-// reuse the existing cut points, and a batch introducing unseen values
-// forces the affected columns to re-quantize. Either way the refit must
-// stay bitwise identical to a scratch fit.
-func TestBoosterBinnedCutInvalidation(t *testing.T) {
-	const dim, n0 = 4, 40
-	rng := rand.New(rand.NewPCG(5, 55))
-	alphabet := []float64{-3, -1, 0, 2, 5} // small: every column starts exact
-	row := func(vals []float64) []float64 {
-		r := make([]float64, dim)
-		for f := range r {
-			r[f] = vals[rng.IntN(len(vals))]
-		}
-		return r
-	}
-	target := func(r []float64) float64 { return r[0]*2 - r[dim-1] + 0.1*rng.NormFloat64() }
-
-	X := make([][]float64, 0, n0+20)
-	y := make([]float64, 0, n0+20)
-	grow := func(k int, vals []float64) {
-		for i := 0; i < k; i++ {
-			r := row(vals)
-			X = append(X, r)
-			y = append(y, target(r))
-		}
-	}
-	grow(n0, alphabet)
-
-	p := Params{Rounds: 15, LearningRate: 0.1, MaxDepth: 4, Lambda: 1, MinChildWeight: 1, Subsample: 1, ColSample: 1, Seed: 3, Binned: true}
-	e := score.New(2)
-	b, err := NewBooster(e, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check := func(stage string) {
-		t.Helper()
-		if err := b.Append(X[b.N():], y[b.N():]); err != nil {
-			t.Fatal(err)
-		}
-		inc, err := b.Fit()
-		if err != nil {
-			t.Fatal(err)
-		}
-		scratch, err := FitOn(e, X, y, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		samePredictions(t, stage, scratch, inc, X)
-	}
-
-	check("initial fit")
-	grow(10, alphabet) // same alphabet: lossless cut-point reuse
-	check("append within alphabet")
-	grow(10, []float64{-7, 1.5, 9}) // unseen values: invalidates cuts
-	check("append with new values")
 }
 
 // TestBoosterResetRefits pins Reset's contract: after dropping state, a

@@ -224,3 +224,33 @@ func BenchmarkFitPresortedParallel4(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFitPresortedWide measures the pre-sorted kernel on a wide
+// workload — 2000×8 continuous rows, 100 rounds, depth 4 — where per-node
+// split enumeration dominates the fit.
+func BenchmarkFitPresortedWide(b *testing.B) {
+	X, y := trainingData(1, 2000, 8)
+	p := DefaultParams()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Fit(X, y, p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkScoreFloatMatrix measures batch-scoring a 4096×8 pool against
+// the 100-tree surrogate ensemble.
+func BenchmarkScoreFloatMatrix(b *testing.B) {
+	X, y, p := trainBenchData()
+	m, err := Fit(X, y, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pool, _ := trainingData(4, 4096, 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.PredictBatchOn(nil, pool)
+	}
+}

@@ -24,16 +24,6 @@ type Params struct {
 	Subsample      float64 // row sampling fraction per round (1 = all)
 	ColSample      float64 // feature sampling fraction per round (1 = all)
 	Seed           uint64  // sampling seed
-	// Binned selects the histogram-binned training kernel: features are
-	// quantized once per fit to at most MaxBins bins and splits enumerate
-	// bin boundaries instead of rows (tree.BinnedMatrix). Off by default —
-	// the pre-sorted exact-greedy kernel remains the reference path — and
-	// bitwise-identical to it whenever every feature column has at most
-	// MaxBins distinct values.
-	Binned bool
-	// MaxBins caps bins per feature for Binned (0 means tree.MaxBins=256;
-	// must stay in [2, 256] so codes fit a uint8).
-	MaxBins int
 }
 
 // DefaultParams suits the paper's regime: few (tens of) training samples of
@@ -192,13 +182,6 @@ func Fit(X [][]float64, y []float64, p Params) (*Model, error) {
 	return FitOn(nil, X, y, p)
 }
 
-// treeGrower abstracts the two training kernels — the pre-sorted
-// exact-greedy Grower and the histogram BinnedGrower share this Grow
-// signature.
-type treeGrower interface {
-	Grow(g, h []float64, rows []int, cols []int, opt tree.Options, leafOut []float64) *tree.Tree
-}
-
 // FitOn trains like Fit with the engine supplying training parallelism
 // (nil engine: serial, exactly like PredictBatchOn). Feature columns are
 // pre-sorted once — X is static across all rounds — and every round's tree
@@ -206,14 +189,6 @@ type treeGrower interface {
 // enumeration fans across feature columns on the engine. The trained model
 // is bitwise identical for any worker count, and value-identical to the
 // reference per-node-sort trainer.
-//
-// With p.Binned set the same loop runs over the histogram kernel instead:
-// columns are quantized once into a tree.BinnedMatrix, nodes accumulate
-// per-bin gradient histograms (larger siblings by subtraction), and splits
-// enumerate bin boundaries. Sampling streams, round buffers and prediction
-// updates are shared between the kernels, so the binned fit keeps the
-// worker-count bitwise-determinism guarantee and matches the exact-greedy
-// model bit for bit whenever the quantization is lossless.
 func FitOn(e *score.Engine, X [][]float64, y []float64, p Params) (*Model, error) {
 	n := len(y)
 	if n == 0 || len(X) != n {
@@ -373,53 +348,6 @@ func (m *Model) PredictBatchOnInto(e *score.Engine, X [][]float64, out []float64
 				}
 				out[i] += lb[j-inner]
 			}
-		}
-	})
-}
-
-// PredictBatchQuantizedOn predicts every row of a quantized pool matrix
-// on the engine's workers (nil engine: serial), decoding each row into
-// per-chunk scratch and descending the flattened ensemble in tree order —
-// the same accumulation sequence as PredictBatchOn, so for a lossless
-// quantized pool the outputs are bitwise identical to scoring the float
-// rows, while the cached pool stays ~8× smaller.
-func (m *Model) PredictBatchQuantizedOn(e *score.Engine, q *score.Quantized) []float64 {
-	out := make([]float64, q.N)
-	m.PredictBatchQuantizedOnInto(e, q, out)
-	return out
-}
-
-// PredictBatchQuantizedOnInto is PredictBatchQuantizedOn writing into a
-// caller-provided slice (len(out) == q.N).
-func (m *Model) PredictBatchQuantizedOnInto(e *score.Engine, q *score.Quantized, out []float64) {
-	m.flatten()
-	fe := m.flat
-	e.MapChunks(q.N, func(lo, hi int) {
-		buf := make([]float64, q.Dim)
-		for i := lo; i < hi; i++ {
-			x := q.Row(i, buf)
-			if fe == nil { // ensemble too deep to pad: pointer walk
-				out[i] = m.Predict(x)
-				continue
-			}
-			depth := fe.depth
-			inner, leafN := 1<<depth-1, 1<<depth
-			o := m.base
-			for t := 0; t < len(m.trees); t++ {
-				fb := fe.feats[t*inner : (t+1)*inner]
-				tb := fe.thresh[t*inner : (t+1)*inner]
-				lb := fe.leaves[t*leafN : (t+1)*leafN]
-				j := 0
-				for d := 0; d < depth; d++ {
-					b := 1
-					if x[fb[j]] < tb[j] {
-						b = 0
-					}
-					j = 2*j + 1 + b
-				}
-				o += lb[j-inner]
-			}
-			out[i] = o
 		}
 	})
 }

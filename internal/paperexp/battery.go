@@ -6,7 +6,7 @@ import (
 	"math"
 
 	"ceal/internal/metrics"
-	"ceal/internal/swift"
+	"ceal/internal/score"
 	"ceal/internal/tuner"
 	"ceal/internal/tuner/events"
 )
@@ -22,11 +22,6 @@ type RunSpec struct {
 	Reps        int    // replications to average (paper: 100)
 	Seed        uint64 // base seed; replication r uses Seed+r
 	Workers     int    // parallel replications (<= 1: serial)
-	// ScoreWorkers is each replication's pool-scoring parallelism
-	// (tuner.Problem.Workers). Zero keeps per-rep scoring serial, the right
-	// default when Workers already saturates the machine with replications;
-	// results are identical either way.
-	ScoreWorkers int
 	// Ctx optionally cancels the battery: it is threaded into every
 	// replication's Problem, aborting in-progress measurement batches.
 	Ctx context.Context
@@ -102,9 +97,10 @@ func (s *AlgStats) MeanRecall(n int) float64 { return metrics.Mean(s.Recall[n-1]
 // median is used because a single no-improvement replication yields +Inf.
 func (s *AlgStats) MedianLNU() float64 { return metrics.Median(s.LNU) }
 
-// RunBattery tunes with every algorithm over Reps replications —
-// fanned across a swift dataflow engine when Workers > 1 — and aggregates
-// the paper's metrics. Results are identical for any worker count.
+// RunBattery tunes with every algorithm over Reps replications — fanned
+// across Workers goroutines — and aggregates the paper's metrics. Each
+// replication writes only its own slot, so results are identical for any
+// worker count.
 func RunBattery(spec RunSpec) ([]*AlgStats, error) {
 	if spec.Reps < 1 {
 		spec.Reps = 1
@@ -128,7 +124,6 @@ func RunBattery(spec RunSpec) ([]*AlgStats, error) {
 		}
 		problem := spec.GT.Problem(spec.Obj, spec.WithHistory, spec.Seed+uint64(rep))
 		problem.Ctx = spec.Ctx
-		problem.Workers = spec.ScoreWorkers
 		out := make([]repMetrics, len(spec.Algorithms))
 		for i, alg := range spec.Algorithms {
 			problem.Observer = nil
@@ -166,31 +161,14 @@ func RunBattery(spec RunSpec) ([]*AlgStats, error) {
 		return out, nil
 	}
 
-	reps := make([]int, spec.Reps)
-	for r := range reps {
-		reps[r] = r
-	}
-	var allReps [][]repMetrics
-	if spec.Workers > 1 {
-		eng := swift.NewEngine(spec.Workers)
-		future := swift.Map(eng, "battery", reps, func(_ int, rep int) ([]repMetrics, error) {
-			return runRep(rep)
-		})
-		var err error
-		allReps, err = future.Wait()
-		if werr := eng.Wait(); err == nil {
-			err = werr
-		}
+	allReps := make([][]repMetrics, spec.Reps)
+	errs := make([]error, spec.Reps)
+	score.New(spec.Workers).Tasks(spec.Reps, func(rep int) {
+		allReps[rep], errs[rep] = runRep(rep)
+	})
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
-		}
-	} else {
-		for _, rep := range reps {
-			rm, err := runRep(rep)
-			if err != nil {
-				return nil, err
-			}
-			allReps = append(allReps, rm)
 		}
 	}
 
